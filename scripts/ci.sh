@@ -3,11 +3,11 @@
 # ways — plain (with VRSIM_JOBS=2 so every sweep-driven test exercises
 # the parallel executor), under AddressSanitizer + UBSan, and under
 # ThreadSanitizer for the concurrency-bearing subset (sweep runner,
-# workload cache) (VRSIM_SANITIZE, see CMakeLists.txt) — then runs a
-# differential-check stage under standalone UBSan: a small real grid
-# with --check-digests (every technique's committed stream must hash
-# identically to the OoO baseline's) plus a repro-bundle replay
-# round-trip smoke. A throughput stage regenerates
+# workload cache, shared prefix) (VRSIM_SANITIZE, see CMakeLists.txt)
+# — then runs a differential-check stage under standalone UBSan: a
+# small real grid with --check-digests (every technique's committed
+# stream must hash identically to the OoO baseline's) plus a
+# repro-bundle replay round-trip smoke. A throughput stage regenerates
 # BENCH_throughput.json (two specs, all techniques, enriched with
 # commit/date/simulated-inst counts) and fails on a >20% camel:OoO
 # regression against the committed file (override: VRSIM_PERF_OVERRIDE=1;
@@ -35,13 +35,15 @@ cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-ci-asan -j "$JOBS"
 ctest --test-dir build-ci-asan --output-on-failure -j "$JOBS"
 
-echo "=== sanitized build (TSan: sweep runner + workload cache) ==="
+echo "=== sanitized build (TSan: sweep runner + workload cache + shared prefix) ==="
 cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DVRSIM_SANITIZE=tsan
 cmake --build build-ci-tsan -j "$JOBS" \
-    --target driver_sweep_runner_test workloads_cache_test
+    --target driver_sweep_runner_test workloads_cache_test \
+    integration_shared_prefix_test
 VRSIM_JOBS=4 ctest --test-dir build-ci-tsan --output-on-failure \
-    -j "$JOBS" -R 'SweepRunner|RunPlan|ResultTable|WorkloadCache'
+    -j "$JOBS" \
+    -R 'SweepRunner|RunPlan|ResultTable|WorkloadCache|FfPrefix|SharedPrefix'
 
 echo "=== differential check (UBSan build, small grid) ==="
 cmake -B build-ci-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -133,6 +135,29 @@ for tech in ooo vr; do
     cmp "$SAMP_DIR/full_$tech.json" "$SAMP_DIR/samp_$tech.json"
 done
 echo "sampling stage: ff/sampled digests byte-identical to full detail"
+
+# Shared prefix (docs/sampling.md): every column of a sampled sweep
+# starts from one --ff-insts snapshot; the table and digests must not
+# depend on how the columns are scheduled or isolated. Stats are
+# compared between the two thread runs (process isolation appends
+# its sweep telemetry object).
+for mode in "--jobs 1" "--jobs 4" "--jobs 2 --isolation process"; do
+    tag="$(echo "$mode" | tr -d ' -')"
+    build-ci-asan/tools/vrsim --workload camel --all-techniques \
+        --check-digests --ff-insts 20000 --sample 2000:10000:3000 \
+        --roi 40000 --elems 4096 $mode \
+        --stats-json "$SAMP_DIR/share_$tag.stats.json" \
+        --digest-json "$SAMP_DIR/share_$tag.digest.json" \
+        --format csv >"$SAMP_DIR/share_$tag.csv"
+done
+for tag in jobs4 jobs2isolationprocess; do
+    cmp "$SAMP_DIR/share_jobs1.csv" "$SAMP_DIR/share_$tag.csv"
+    cmp "$SAMP_DIR/share_jobs1.digest.json" \
+        "$SAMP_DIR/share_$tag.digest.json"
+done
+cmp "$SAMP_DIR/share_jobs1.stats.json" "$SAMP_DIR/share_jobs4.stats.json"
+echo "sampling stage: shared-prefix sweep identical at jobs 1/4 and" \
+    "under process isolation"
 
 # Accuracy: a sampled VR run's CPI must land within its own reported
 # 95% CI of the full-detail reference (the EXPERIMENTS.md contract;

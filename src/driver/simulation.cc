@@ -176,11 +176,17 @@ secondsSince(const std::chrono::steady_clock::time_point &t0)
 
 } // namespace
 
+uint64_t
+prefixDigestInterval(const SystemConfig &cfg)
+{
+    return cfg.collect_digest ? cfg.digest_interval : 0;
+}
+
 SimResult
 runWorkload(Workload &w, Technique technique, SystemConfig cfg,
             uint64_t max_insts, uint64_t warmup_insts,
             const DvrFeatures *dvr_features, TraceSink *trace,
-            const SamplingPlan &sampling)
+            const SamplingPlan &sampling, const FfPrefix *prefix)
 {
     cfg.technique = technique;
     sampling.validate();
@@ -271,18 +277,35 @@ runWorkload(Workload &w, Technique technique, SystemConfig cfg,
                 // Pure functional prefix skip: native-loop speed, no
                 // warming — the caches/predictors enter the ROI cold
                 // and the first detailed-warm window (or --warmup)
-                // recovers them.
+                // recovers them. Timing-free, so a snapshot shared
+                // across columns is the same state a private
+                // execution reaches.
                 auto f0 = std::chrono::steady_clock::now();
-                uint64_t done =
-                    core.fastForward(state, sampling.ff_insts, clock,
-                                     /*warm=*/false);
+                FfPrefix own;
+                const FfPrefix *pre = prefix;
+                if (pre) {
+                    panicIfNot(pre->ff_insts == sampling.ff_insts &&
+                                   pre->digest_interval ==
+                                       prefixDigestInterval(cfg),
+                               "prefix snapshot does not match the "
+                               "run's --ff-insts or digest interval");
+                    w.image.apply(pre->delta);
+                } else {
+                    own = runFfPrefix(w, sampling.ff_insts,
+                                      prefixDigestInterval(cfg));
+                    res.host_ff_insts += own.executed;
+                    pre = &own;
+                }
                 res.host_ff_seconds += secondsSince(f0);
-                if (done < sampling.ff_insts)
+                if (pre->executed < sampling.ff_insts)
                     fatal("workload halted after " +
-                          std::to_string(done) +
+                          std::to_string(pre->executed) +
                           " instructions, inside the --ff-insts " +
                           std::to_string(sampling.ff_insts) +
                           " prefix — nothing left to measure");
+                state = pre->state;
+                if (digest)
+                    *digest = *pre->digest;
             }
             if (!sampling.sampling()) {
                 // Fast-forward prefix, then an ordinary full-detail
@@ -317,8 +340,10 @@ runWorkload(Workload &w, Technique technique, SystemConfig cfg,
                      p++) {
                     if (ff_per_period) {
                         auto f0 = std::chrono::steady_clock::now();
-                        ss.ff_insts += core.fastForward(
+                        uint64_t done = core.fastForward(
                             state, ff_per_period, clock, /*warm=*/true);
+                        ss.ff_insts += done;
+                        res.host_ff_insts += done;
                         res.host_ff_seconds += secondsSince(f0);
                         if (state.halted)
                             break;

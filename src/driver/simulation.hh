@@ -19,7 +19,7 @@
 #include "runahead/pre.hh"
 #include "runahead/vector_runahead.hh"
 #include "sim/config.hh"
-#include "workloads/workload.hh"
+#include "workloads/workload_cache.hh"
 
 namespace vrsim
 {
@@ -145,6 +145,10 @@ struct SimResult
                                //!< default report output)
     double host_ff_seconds = 0.0;       //!< host time in functional
                                         //!< fast-forward segments
+    uint64_t host_ff_insts = 0;  //!< functional instructions this run
+                                 //!< itself executed: a shared
+                                 //!< --ff-insts prefix counts only in
+                                 //!< the run that built it
     double host_detailed_seconds = 0.0; //!< host time in detailed
                                         //!< (warm + measure) windows
     int term_signal = 0;       //!< terminating signal (Crashed cells
@@ -206,13 +210,25 @@ SimResult runSimulation(const std::string &spec, Technique technique,
  * when collected, covers the full committed stream — fast-forwarded
  * regions hash through the functional path and are byte-identical to
  * a detailed run over the same stream.
+ *
+ * @p prefix, when non-null, is a snapshot of the sampling plan's
+ * ff_insts prefix of this workload (WorkloadCache::prefix), taken
+ * with cfg's digest interval (0 when cfg collects no digest): the run
+ * applies its page delta to @p w's pristine image and starts from its
+ * state and digest instead of executing the prefix. Without one the
+ * run executes the prefix itself through the same runFfPrefix().
  */
 SimResult runWorkload(Workload &w, Technique technique,
                       SystemConfig cfg, uint64_t max_insts = 0,
                       uint64_t warmup_insts = 0,
                       const DvrFeatures *dvr_features = nullptr,
                       TraceSink *trace = nullptr,
-                      const SamplingPlan &sampling = {});
+                      const SamplingPlan &sampling = {},
+                      const FfPrefix *prefix = nullptr);
+
+/** The digest interval a run under @p cfg hashes its prefix with
+ *  (FfPrefix::digest_interval): 0 when it collects no digest. */
+uint64_t prefixDigestInterval(const SystemConfig &cfg);
 
 /**
  * Fault-isolated variants: any FatalError / PanicError / HangError

@@ -24,6 +24,17 @@ namespace
  *  first-mismatching-interval localization is exercised. */
 constexpr uint64_t INJECT_POISON = 0x9e3779b97f4a7c15ull;
 
+/** The configuration a point runs under: an injected divergence
+ *  needs a digest to poison. */
+SystemConfig
+configOf(const RunPoint &p)
+{
+    SystemConfig cfg = p.cfg;
+    if (p.inject_fail)
+        cfg.collect_digest = true;
+    return cfg;
+}
+
 /** Key of the baseline cell a point is differentially checked
  *  against: same spec and config variant, OoO column. */
 std::string
@@ -107,13 +118,25 @@ SweepRunner::runPoint(const RunPoint &p, WorkloadCache &cache,
         // Instantiate a private copy of the cached build artifact so
         // stores in this run cannot leak into sibling points.
         Workload w = cache.instantiate(p.spec, p.gscale, p.hscale);
-        SystemConfig cfg = p.cfg;
-        if (p.inject_fail)
-            cfg.collect_digest = true;
+        SystemConfig cfg = configOf(p);
+        // The functional prefix is technique-independent: every column
+        // starts from one shared snapshot. The run that built it pays
+        // for it, so per-cell host time still sums to the sweep's.
+        std::shared_ptr<const FfPrefix> prefix;
+        bool built = false;
+        if (p.sampling.ff_insts)
+            prefix = cache.prefix(p.spec, p.gscale, p.hscale,
+                                  p.sampling.ff_insts,
+                                  prefixDigestInterval(cfg), &w, &built);
         SimResult r = runWorkload(w, p.technique, cfg, p.max_insts,
                                   p.warmup,
                                   p.features ? &*p.features : nullptr,
-                                  trace, p.sampling);
+                                  trace, p.sampling, prefix.get());
+        if (built) {
+            r.host_seconds += prefix->build_seconds;
+            r.host_ff_seconds += prefix->build_seconds;
+            r.host_ff_insts += prefix->executed;
+        }
         if (p.inject_fail && r.digest) {
             // Deterministic divergence: the digest check (or a
             // replay of the resulting bundle) must flag this cell.
@@ -227,26 +250,27 @@ SweepRunner::run(const RunPlan &plan)
         jobs = 1;
     }
 
-    // Fork safety for process mode: build every workload artifact in
-    // the parent before the pool starts, so the cache's mutex and
-    // builder futures are quiescent at every fork (children only ever
-    // hit warm cache entries). A build failure is deliberately left
-    // for the child to re-encounter and report as its own Fatal row,
+    // Fork safety for process mode: build every workload artifact and
+    // --ff-insts prefix snapshot in the parent before the pool starts,
+    // so the cache's mutex and builder futures are quiescent at every
+    // fork and children inherit the snapshots instead of each
+    // re-executing the prefix. A build failure is deliberately left
+    // for the child to re-encounter and report as its own row,
     // matching thread-mode attribution.
     if (isolation == Isolation::Process) {
-        std::map<std::string, char> built;
         for (size_t i = 0; i < points.size(); i++) {
             if (have[i])
                 continue;
             const RunPoint &p = points[i];
-            if (!built.emplace(WorkloadCache::key(p.spec, p.gscale,
-                                                  p.hscale), 1)
-                     .second)
-                continue;
             try {
                 cache.artifact(p.spec, p.gscale, p.hscale);
+                if (p.sampling.ff_insts)
+                    cache.prefix(p.spec, p.gscale, p.hscale,
+                                 p.sampling.ff_insts,
+                                 prefixDigestInterval(configOf(p)));
             } catch (const FatalError &) {
                 // The child's own build attempt produces the row.
+            } catch (const PanicError &) {
             }
         }
     }

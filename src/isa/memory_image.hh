@@ -8,10 +8,12 @@
 #ifndef VRSIM_ISA_MEMORY_IMAGE_HH
 #define VRSIM_ISA_MEMORY_IMAGE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -101,9 +103,47 @@ class MemoryImage
     /** Total resident bytes. */
     uint64_t footprintBytes() const { return pages_.size() * PAGE_SIZE; }
 
-  private:
     using Page = std::vector<uint8_t>;
 
+    /**
+     * The pages one image holds that a base image lacks or holds with
+     * different bytes, in ascending page order (diff()). Applying it
+     * to a copy of the base (apply()) reproduces the image exactly,
+     * at the cost of the changed pages only.
+     */
+    using Delta = std::vector<std::pair<uint64_t, Page>>;
+
+    /** What changed relative to @p base. Pages are never removed, so
+     *  every page of @p base is also here. Neither image's memo is
+     *  touched: concurrent diffs against one shared base are safe. */
+    Delta
+    diff(const MemoryImage &base) const
+    {
+        Delta d;
+        for (const auto &[no, page] : pages_) {
+            auto it = base.pages_.find(no);
+            if (it == base.pages_.end() ||
+                std::memcmp(it->second.data(), page.data(), PAGE_SIZE))
+                d.emplace_back(no, page);
+        }
+        std::sort(d.begin(), d.end(),
+                  [](const auto &a, const auto &b) {
+                      return a.first < b.first;
+                  });
+        return d;
+    }
+
+    /** Install every page of @p d (idempotent). */
+    void
+    apply(const Delta &d)
+    {
+        for (const auto &[no, page] : d)
+            pages_[no] = page;
+        cached_page_no_ = NO_PAGE;
+        cached_page_ = nullptr;
+    }
+
+  private:
     static constexpr uint64_t NO_PAGE = ~0ull;
 
     const Page *

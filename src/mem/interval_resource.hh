@@ -62,29 +62,21 @@ class IntervalResource
         if (duration == 0)
             duration = 1;
         Cycle first_b = earliest >> shift_;
-        Cycle last_b = (earliest + duration - 1) >> shift_;
+        Cycle start = earliest;
+        Cycle last_b;
         while (true) {
             Cycle f = cal_.nextFree(first_b);
             if (f != first_b) {
                 first_b = f;
-                last_b = ((first_b << shift_) + duration - 1) >> shift_;
+                start = first_b << shift_;
             }
-            bool ok = true;
-            for (Cycle b = first_b + 1; b <= last_b; b++) {
-                Cycle g = cal_.nextFree(b);
-                if (g != b) {
-                    first_b = g;
-                    last_b = ((first_b << shift_) + duration - 1)
-                             >> shift_;
-                    ok = false;
-                    break;
-                }
-            }
-            if (ok)
+            last_b = (start + duration - 1) >> shift_;
+            Cycle full = cal_.firstFull(first_b + 1, last_b);
+            if (full > last_b)
                 break;
+            first_b = full;  // nextFree() jumps past its full run
         }
         cal_.fill(first_b, last_b);
-        Cycle start = std::max(earliest, first_b << shift_);
         // Guardrail: the busy integral is monotone by construction;
         // a decrease means the duration arithmetic wrapped (e.g. a
         // fill time earlier than its issue time upstream) and every

@@ -61,15 +61,17 @@ class VectorIssueRegister
         return first;
     }
 
-    /** Which copy (0-based) a lane belongs to. */
+    /**
+     * Which copy (0-based) a lane belongs to. Copies are formed over
+     * the *active* lanes in mask order, so the lane's index among them
+     * is the population count of @p mask below @p lane: shifting left
+     * by MAX_LANES - lane drops every lane at or above it (a shift by
+     * MAX_LANES, for lane 0, clears the whole set).
+     */
     uint32_t
     copyOf(uint32_t lane, const LaneMask &mask) const
     {
-        // Copies are formed over the *active* lanes in mask order.
-        uint32_t idx = 0;
-        for (uint32_t l = 0; l < lane; l++)
-            if (mask.test(l))
-                ++idx;
+        uint32_t idx = uint32_t((mask << (MAX_LANES - lane)).count());
         return idx / lanes_per_vector_;
     }
 

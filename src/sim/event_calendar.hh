@@ -35,6 +35,7 @@
 #ifndef VRSIM_SIM_EVENT_CALENDAR_HH
 #define VRSIM_SIM_EVENT_CALENDAR_HH
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -133,27 +134,60 @@ class EventCalendar
         }
     }
 
+    /**
+     * First bucket in [@p first_b, @p last_b] at capacity, or
+     * last_b + 1 when every bucket there has a free slot. Scans the
+     * occupancy arrays a chunk at a time; each bucket read before the
+     * answer counts as a probe (the full one is left for the
+     * nextFree() that must follow, which examines it). The answer is
+     * mode-independent: skip pointers only ever mark full buckets.
+     */
+    Cycle
+    firstFull(Cycle first_b, Cycle last_b)
+    {
+        panicIfNot(size_t(first_b >> CHUNK_BITS) >= retired_chunks_,
+                   "calendar probed retired history (allocation below "
+                   "the dispatch horizon)");
+        for (Cycle b = first_b; b <= last_b;) {
+            const size_t ci = size_t(b >> CHUNK_BITS);
+            const Cycle base = Cycle(ci) << CHUNK_BITS;
+            const uint32_t lo = uint32_t(b - base);
+            const uint32_t hi = uint32_t(
+                std::min<Cycle>(last_b - base, CHUNK_SIZE - 1));
+            if (ci < chunks_.size() && chunks_[ci]) {
+                const uint32_t *used = chunks_[ci]->used.data();
+                for (uint32_t i = lo; i <= hi; i++) {
+                    if (used[i] >= capacity_) {
+                        probes_ += i - lo;
+                        return base + i;
+                    }
+                }
+            }
+            // An untouched chunk is empty throughout.
+            probes_ += hi - lo + 1;
+            b = base + hi + 1;
+        }
+        return last_b + 1;
+    }
+
     /** Add one user to every bucket in [@p first_b, @p last_b]. */
     void
     fill(Cycle first_b, Cycle last_b)
     {
-        for (Cycle b = first_b; b <= last_b; b++) {
-            size_t ci = size_t(b >> CHUNK_BITS);
-            panicIfNot(ci >= retired_chunks_,
-                       "calendar filled retired history (allocation "
-                       "below the dispatch horizon)");
-            if (ci >= chunks_.size())
-                chunks_.resize(ci + 1);
-            if (!chunks_[ci]) {
-                if (!pool_.empty()) {
-                    chunks_[ci] = std::move(pool_.back());
-                    pool_.pop_back();
-                    chunks_[ci]->reset();
-                } else {
-                    chunks_[ci] = std::make_unique<Chunk>();
-                }
-            }
-            ++chunks_[ci]->used[b & (CHUNK_SIZE - 1)];
+        // Ranges ascend, so checking the first bucket guards them all.
+        panicIfNot(size_t(first_b >> CHUNK_BITS) >= retired_chunks_,
+                   "calendar filled retired history (allocation "
+                   "below the dispatch horizon)");
+        for (Cycle b = first_b; b <= last_b;) {
+            const size_t ci = size_t(b >> CHUNK_BITS);
+            const Cycle base = Cycle(ci) << CHUNK_BITS;
+            const uint32_t lo = uint32_t(b - base);
+            const uint32_t hi = uint32_t(
+                std::min<Cycle>(last_b - base, CHUNK_SIZE - 1));
+            uint32_t *used = chunk(ci).used.data();
+            for (uint32_t i = lo; i <= hi; i++)
+                ++used[i];
+            b = base + hi + 1;
         }
     }
 
@@ -211,6 +245,24 @@ class EventCalendar
             next.fill(0);
         }
     };
+
+    /** Chunk @p ci, materialized (from the pool when possible). */
+    Chunk &
+    chunk(size_t ci)
+    {
+        if (ci >= chunks_.size())
+            chunks_.resize(ci + 1);
+        if (!chunks_[ci]) {
+            if (!pool_.empty()) {
+                chunks_[ci] = std::move(pool_.back());
+                pool_.pop_back();
+                chunks_[ci]->reset();
+            } else {
+                chunks_[ci] = std::make_unique<Chunk>();
+            }
+        }
+        return *chunks_[ci];
+    }
 
     static std::atomic<int> &
     mode()

@@ -72,5 +72,41 @@ TEST(MemoryImageTest, HighAddressesWork)
     EXPECT_EQ(m.read64(addr), 42u);
 }
 
+TEST(MemoryImageTest, DeltaRoundTripsChangedAndNewPages)
+{
+    const uint64_t P = MemoryImage::PAGE_SIZE;
+    MemoryImage base;
+    for (uint64_t pg = 0; pg < 4; pg++)
+        base.write64(pg * P + 8, 100 + pg);
+
+    MemoryImage after = base;
+    after.write64(1 * P + 16, 7);       // changed page
+    after.write64(3 * P + 8, 103);      // rewritten with the same value
+    after.write64(9 * P, 0xABCD);       // new page
+    after.write64(2 * P - 4, ~0ull);    // straddles pages 1 and 2
+
+    MemoryImage::Delta d = after.diff(base);
+    std::vector<uint64_t> pages;
+    for (const auto &[no, page] : d)
+        pages.push_back(no);
+    // Only created or byte-changed pages, ascending.
+    EXPECT_EQ(pages, (std::vector<uint64_t>{1, 2, 9}));
+
+    MemoryImage copy = base;
+    (void)copy.read64(1 * P + 16);      // warm the page memo
+    copy.apply(d);
+    EXPECT_TRUE(copy.diff(after).empty());
+    EXPECT_TRUE(after.diff(copy).empty());
+    EXPECT_EQ(copy.read64(1 * P + 16), 7u);
+    EXPECT_EQ(copy.read64(9 * P), 0xABCDu);
+    EXPECT_EQ(copy.residentPages(), after.residentPages());
+
+    // Idempotent: a second apply changes nothing.
+    copy.apply(d);
+    EXPECT_TRUE(copy.diff(after).empty());
+    // An unchanged image has an empty delta.
+    EXPECT_TRUE(base.diff(base).empty());
+}
+
 } // namespace
 } // namespace vrsim

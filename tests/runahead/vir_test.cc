@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "runahead/vir.hh"
+#include "sim/rng.hh"
 
 namespace vrsim
 {
@@ -94,6 +95,38 @@ TEST(VirTest, EmptyMaskStillAdvancesOneSlot)
     LaneMask empty;
     vir.issue(empty, true);
     EXPECT_EQ(vir.now(), 1u);
+}
+
+TEST(VirTest, CopyOfMatchesLaneLoopOverRandomMasks)
+{
+    // Property: the popcount form equals the per-lane count it
+    // replaced, over random masks of every density and at the lane
+    // edges, including across the 128-lane word boundary.
+    auto loop = [](uint32_t lane, const LaneMask &m, uint32_t per) {
+        uint32_t idx = 0;
+        for (uint32_t l = 0; l < lane; l++)
+            if (m.test(l))
+                ++idx;
+        return idx / per;
+    };
+    Rng rng(0x5eed);
+    for (uint32_t per : {1u, 8u, 16u}) {
+        RunaheadConfig c;
+        c.lanes_per_vector = per;
+        VectorIssueRegister vir(c);
+        for (int trial = 0; trial < 200; trial++) {
+            LaneMask m;
+            const uint64_t density = rng.below(101);
+            for (unsigned l = 0; l < MAX_LANES; l++)
+                if (rng.below(100) < density)
+                    m.set(l);
+            for (uint32_t lane : {0u, 1u, 63u, 64u, 127u, 128u, 255u,
+                                  uint32_t(rng.below(MAX_LANES))})
+                ASSERT_EQ(vir.copyOf(lane, m), loop(lane, m, per))
+                    << "lane " << lane << " per " << per << " mask "
+                    << m.to_string();
+        }
+    }
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "mem/interval_resource.hh"
@@ -69,6 +70,54 @@ TEST(EventCalendarTest, SkipMatchesLinearReferencePlacements)
                     skp.push_back(r.allocate(e, d));
             }
             ASSERT_EQ(lin, skp) << "cap=" << cap << " shift=" << shift;
+        }
+    }
+}
+
+TEST(EventCalendarTest, PlacementsMatchPlainFirstFitAcrossChunks)
+{
+    // A plain first-fit over a flat occupancy vector, independent of
+    // the chunking, the skip pointers and the range scans: a start is
+    // infeasible iff its span holds a full bucket, and every start up
+    // to that bucket spans it too. Reservations up to ~2.5 chunks long
+    // make spans cross chunk boundaries.
+    for (uint32_t shift : {0u, 2u}) {
+        for (uint32_t cap : {1u, 3u}) {
+            for (bool skip : {true, false}) {
+                SkipMode m(skip);
+                IntervalResource r(cap, shift);
+                std::vector<uint32_t> used;
+                uint64_t s = 0x2545F4914F6CDD1Dull;
+                for (int i = 0; i < 600; i++) {
+                    s ^= s << 13;
+                    s ^= s >> 7;
+                    s ^= s << 17;
+                    Cycle earliest = Cycle(i) * 40 + s % 20000;
+                    Cycle duration = s % 5 == 0 ? 1 + (s >> 20) % 10000
+                                                : 1 + (s >> 20) % 30;
+                    Cycle b = earliest >> shift;
+                    Cycle start, last;
+                    while (true) {
+                        start = std::max(earliest, b << shift);
+                        last = (start + duration - 1) >> shift;
+                        if (used.size() <= last)
+                            used.resize(last + 1, 0);
+                        Cycle x = b;
+                        while (x <= last && used[x] < cap)
+                            x++;
+                        if (x > last)
+                            break;
+                        b = x + 1;
+                    }
+                    for (Cycle x = b; x <= last; x++)
+                        used[x]++;
+                    ASSERT_EQ(r.allocate(earliest, duration), start)
+                        << "i=" << i << " cap=" << cap
+                        << " shift=" << shift << " skip=" << skip;
+                }
+                for (Cycle x = 0; x < used.size(); x++)
+                    ASSERT_EQ(r.busyAt(x << shift), used[x]) << x;
+            }
         }
     }
 }
